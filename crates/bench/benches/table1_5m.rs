@@ -1,11 +1,11 @@
 //! Table I extended to million scale: construction time and peak RSS of
-//! the arena/SoA path (`build_store`) at n ∈ {100k, 1M, 5M}, degree 6 and
+//! store builds (`build_store`) at n ∈ {100k, 1M, 5M}, degree 6 and
 //! degree 2, at 1 and 4 worker threads.
 //!
-//! The store path exists precisely for these sizes: points live in
-//! structure-of-arrays columns, the cell partition is one counting sort
-//! into a flat index array, and the tree is grown in a preallocated
-//! arena — no per-cell or per-node allocation. Every emitted bench row
+//! The workload is sampled straight into a store, so no slice is packed:
+//! points live in structure-of-arrays columns, the cell partition is one
+//! counting sort into a flat index array, and the tree is grown in a
+//! preallocated arena — no per-cell or per-node allocation. Every emitted bench row
 //! records `peak_rss_bytes` (VmHWM) alongside the timings.
 //!
 //! The full run takes minutes at n = 5M; `--quick` keeps it CI-sized.

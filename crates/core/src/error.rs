@@ -22,6 +22,13 @@ pub enum BuildError {
     },
     /// The multicast source position has a NaN or infinite coordinate.
     NonFiniteSource,
+    /// A point's coordinates are finite, but its distance from the source
+    /// (or the covering radius the grid pads above it) overflows `f64` —
+    /// e.g. a source at `(1e308, 0)` and a point at `(-1e308, 0)`.
+    CoordinateOverflow {
+        /// Index of the offending point.
+        index: usize,
+    },
     /// A host id passed to a dynamic-membership operation does not name a
     /// live host — it was never issued by this overlay or the host has
     /// already departed.
@@ -71,6 +78,12 @@ impl fmt::Display for BuildError {
                 write!(f, "point {index} has a non-finite coordinate")
             }
             Self::NonFiniteSource => write!(f, "source has a non-finite coordinate"),
+            Self::CoordinateOverflow { index } => {
+                write!(
+                    f,
+                    "point {index} is too far from the source: its distance overflows f64"
+                )
+            }
             Self::UnknownHost { id } => {
                 write!(f, "host id {id} is unknown or has already departed")
             }
@@ -120,6 +133,9 @@ mod tests {
             .to_string()
             .contains('3'));
         assert!(!BuildError::NonFiniteSource.to_string().is_empty());
+        assert!(BuildError::CoordinateOverflow { index: 7 }
+            .to_string()
+            .contains('7'));
         assert!(BuildError::UnknownHost { id: 42 }
             .to_string()
             .contains("42"));

@@ -5,7 +5,7 @@
 use omt_rng::rngs::SmallRng;
 use omt_rng::{SeedableRng, SplitMix64};
 
-use omt_geom::{Ball, Point2, Point3, PointStore2, Region};
+use omt_geom::{Ball, Point2, Point3, Region};
 
 /// The problem sizes of Table I and Figures 4–8.
 pub const PAPER_SIZES: [usize; 10] = [
@@ -64,13 +64,6 @@ where
 pub fn disk_trial(experiment_seed: u64, n: usize, trial: usize) -> Vec<Point2> {
     let mut rng = trial_rng(experiment_seed, n, trial);
     Ball::<2>::unit().sample_n(&mut rng, n)
-}
-
-/// The same trial as [`disk_trial`], sampled straight into an SoA point
-/// store (identical RNG stream, hence bit-identical points).
-pub fn disk_trial_store(experiment_seed: u64, n: usize, trial: usize) -> PointStore2 {
-    let mut rng = trial_rng(experiment_seed, n, trial);
-    PointStore2::sample_region(Point2::ORIGIN, &Ball::<2>::unit(), &mut rng, n)
 }
 
 /// Uniform points in the unit ball for one trial.

@@ -2,18 +2,19 @@
 //!
 //! The grid builders in `omt-core` consume points twice: once in Cartesian
 //! form (edge lengths, tree depths) and once in source-relative polar form
-//! (ring assignment, angular bisection). The array-of-structs pipeline
-//! materializes both as `Vec<Point2>` / `Vec<PolarPoint>` — two full copies
+//! (ring assignment, angular bisection). An array-of-structs layout would
+//! materialize both as `Vec<Point2>` / `Vec<PolarPoint>` — two full copies
 //! plus per-cell index `Vec`s. At the paper's largest configurations
 //! (Table I runs up to n = 5,000,000) that layout is memory-bandwidth-bound
 //! and wastes roughly half the resident set on struct padding and
-//! duplication.
+//! duplication; every grid build therefore runs on a store (slice inputs
+//! are packed into one first).
 //!
 //! [`PointStore2`] and [`PointStore3`] keep one flat `f64` array per
 //! coordinate instead: absolute Cartesian components plus the
 //! source-relative polar components, computed **once, at insertion time**,
-//! with exactly the float operations the AoS path uses
-//! ([`PolarPoint::from_cartesian`] on `p - source`). Sampling a workload
+//! with exactly the float operations of [`PolarPoint::from_cartesian`] on
+//! `p - source`. Sampling a workload
 //! via [`PointStore2::sample_region`] streams points straight from the
 //! region sampler into the arrays in bounded chunks, so no intermediate
 //! `Vec<Point2>` of all n points ever exists and the RNG stream is
@@ -21,9 +22,9 @@
 //!
 //! Bit-identity contract: for every index `i`,
 //! `store.polar(i) == PolarPoint::from_cartesian(&(points[i] - source))`
-//! down to the last bit (and the spherical analogue in 3-D). The parity
-//! tests in `omt-core` lean on this to prove the arena/SoA construction
-//! path reproduces the legacy trees edge-for-edge.
+//! down to the last bit (and the spherical analogue in 3-D). The pinned
+//! construction goldens in `omt-core` lean on this: they were recorded from
+//! an array-of-structs conversion and still hold edge for edge.
 
 use omt_rng::Rng;
 
@@ -105,8 +106,8 @@ impl PointStore2 {
         self.angle.push(rel.angle());
     }
 
-    /// Builds a store from an existing point slice (used by the parity
-    /// tests to feed both construction paths the same workload).
+    /// Builds a store from an existing point slice (how the grid builders'
+    /// slice entry points pack their input).
     #[must_use]
     pub fn from_points(source: Point2, points: &[Point2]) -> Self {
         let mut store = Self::with_capacity(source, points.len());
