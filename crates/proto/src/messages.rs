@@ -120,28 +120,56 @@ pub enum Msg {
 }
 
 impl Msg {
+    /// Every [`Msg::kind`] label, indexed by [`Msg::kind_index`].
+    pub const KINDS: [&'static str; 18] = [
+        "join_req",
+        "accept",
+        "redirect",
+        "ping",
+        "pong",
+        "not_child",
+        "leave",
+        "handoff",
+        "new_parent",
+        "orphaned",
+        "probe",
+        "probe_ok",
+        "gossip",
+        "tick",
+        "retry_join",
+        "join_now",
+        "leave_now",
+        "crash_now",
+    ];
+
+    /// Dense index of this variant into [`Msg::KINDS`], for fixed-size
+    /// per-kind counters.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Msg::JoinReq { .. } => 0,
+            Msg::Accept { .. } => 1,
+            Msg::Redirect => 2,
+            Msg::Ping { .. } => 3,
+            Msg::Pong { .. } => 4,
+            Msg::NotChild { .. } => 5,
+            Msg::Leave { .. } => 6,
+            Msg::Handoff { .. } => 7,
+            Msg::NewParent { .. } => 8,
+            Msg::Orphaned => 9,
+            Msg::Probe { .. } => 10,
+            Msg::ProbeOk => 11,
+            Msg::Gossip { .. } => 12,
+            Msg::Tick => 13,
+            Msg::RetryJoin { .. } => 14,
+            Msg::JoinNow => 15,
+            Msg::LeaveNow => 16,
+            Msg::CrashNow => 17,
+        }
+    }
+
     /// Stable short label for per-kind message accounting.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Msg::JoinReq { .. } => "join_req",
-            Msg::Accept { .. } => "accept",
-            Msg::Redirect => "redirect",
-            Msg::Ping { .. } => "ping",
-            Msg::Pong { .. } => "pong",
-            Msg::NotChild { .. } => "not_child",
-            Msg::Leave { .. } => "leave",
-            Msg::Handoff { .. } => "handoff",
-            Msg::NewParent { .. } => "new_parent",
-            Msg::Orphaned => "orphaned",
-            Msg::Probe { .. } => "probe",
-            Msg::ProbeOk => "probe_ok",
-            Msg::Gossip { .. } => "gossip",
-            Msg::Tick => "tick",
-            Msg::RetryJoin { .. } => "retry_join",
-            Msg::JoinNow => "join_now",
-            Msg::LeaveNow => "leave_now",
-            Msg::CrashNow => "crash_now",
-        }
+        Self::KINDS[self.kind_index()]
     }
 
     /// Whether this variant is a local timer rather than network traffic.
@@ -150,5 +178,64 @@ impl Msg {
             self,
             Msg::Tick | Msg::RetryJoin { .. } | Msg::JoinNow | Msg::LeaveNow | Msg::CrashNow
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kind_indices_cover_kinds_once() {
+        let all = [
+            Msg::JoinReq {
+                joiner: 1,
+                cell: (0, 0),
+                avoid: Vec::new(),
+                hops: 0,
+            },
+            Msg::Accept { parent: 0 },
+            Msg::Redirect,
+            Msg::Ping { from: 1 },
+            Msg::Pong { from: 0 },
+            Msg::NotChild { from: 0 },
+            Msg::Leave {
+                from: 1,
+                successor: None,
+            },
+            Msg::Handoff {
+                from: 1,
+                parent: 0,
+                children: Vec::new(),
+                routes: Vec::new(),
+            },
+            Msg::NewParent { parent: 0 },
+            Msg::Orphaned,
+            Msg::Probe {
+                origin: 1,
+                path: Vec::new(),
+            },
+            Msg::ProbeOk,
+            Msg::Gossip {
+                from: 1,
+                cells: Vec::new(),
+            },
+            Msg::Tick,
+            Msg::RetryJoin { epoch: 0 },
+            Msg::JoinNow,
+            Msg::LeaveNow,
+            Msg::CrashNow,
+        ];
+        let mut seen: Vec<usize> = all.iter().map(Msg::kind_index).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..Msg::KINDS.len()).collect::<Vec<_>>());
+        assert_eq!(
+            Msg::Gossip {
+                from: 1,
+                cells: Vec::new()
+            }
+            .kind(),
+            "gossip"
+        );
     }
 }

@@ -114,9 +114,6 @@ impl ProtoConfig {
     }
 }
 
-/// Per-message-kind send counters (network messages only, not timers).
-pub type MsgCounts = BTreeMap<&'static str, u64>;
-
 /// The outcome of one protocol run.
 #[derive(Clone, Debug)]
 pub struct ProtoReport {
@@ -160,7 +157,8 @@ pub struct ProtoSim {
     /// host id `i + 1`.
     hosts: Vec<HostState>,
     net: Network<Msg>,
-    counts: MsgCounts,
+    /// Messages sent, per [`Msg::kind_index`].
+    counts: [u64; Msg::KINDS.len()],
     last_change: f64,
     end_time: f64,
     /// Shadow capacity-summary index over the advertised cells: per cell,
@@ -211,7 +209,7 @@ impl ProtoSim {
             grid,
             hosts,
             net,
-            counts: MsgCounts::new(),
+            counts: [0; Msg::KINDS.len()],
             last_change: 0.0,
             end_time: 0.0,
             hgrid: None,
@@ -361,7 +359,7 @@ impl ProtoSim {
 
     fn send(&mut self, src: HostId, dst: HostId, msg: Msg) {
         obs_count!("proto/sent");
-        *self.counts.entry(msg.kind()).or_insert(0) += 1;
+        self.counts[msg.kind_index()] += 1;
         let d = self.hosts[src as usize]
             .coord
             .distance(&self.hosts[dst as usize].coord);
@@ -1022,10 +1020,11 @@ impl ProtoSim {
             convergence_time: self.last_change,
             end_time: self.end_time,
             net: self.net.stats(),
-            msg_counts: self
-                .counts
+            msg_counts: Msg::KINDS
                 .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+                .zip(self.counts)
+                .filter(|&(_, c)| c > 0)
+                .map(|(&k, c)| (k.to_string(), c))
                 .collect(),
             forest,
             alive_ids,

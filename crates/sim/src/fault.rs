@@ -210,22 +210,23 @@ impl<M: Clone> Network<M> {
             self.stats.dropped += 1;
             return;
         }
-        let copies = if faulty && self.plan.dup_p > 0.0 && self.rng.random_bool(self.plan.dup_p) {
+        if faulty && self.plan.dup_p > 0.0 && self.rng.random_bool(self.plan.dup_p) {
             self.stats.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let jitter = if faulty && self.plan.jitter > 0.0 {
-                self.rng.random_range(0.0..self.plan.jitter)
-            } else {
-                0.0
-            };
-            let at = now + self.base_latency + distance + jitter;
-            self.queue.schedule(at, dst, msg.clone());
-            self.stats.delivered += 1;
+            self.deliver(now, dst, distance, faulty, msg.clone());
         }
+        self.deliver(now, dst, distance, faulty, msg);
+    }
+
+    /// Schedules one copy of a sent message, jittered while `faulty`.
+    fn deliver(&mut self, now: f64, dst: HostId, distance: f64, faulty: bool, msg: M) {
+        let jitter = if faulty && self.plan.jitter > 0.0 {
+            self.rng.random_range(0.0..self.plan.jitter)
+        } else {
+            0.0
+        };
+        let at = now + self.base_latency + distance + jitter;
+        self.queue.schedule(at, dst, msg);
+        self.stats.delivered += 1;
     }
 
     /// Schedules a local timer at host `dst` firing at absolute time
@@ -306,6 +307,34 @@ mod tests {
         let st = net.stats();
         assert!(st.duplicated >= 45, "{st:?}");
         assert_eq!(st.delivered, st.sent + st.duplicated);
+    }
+
+    #[test]
+    fn only_duplicates_are_cloned() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        /// A payload that counts its clones.
+        struct Counted(Rc<Cell<u32>>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.0.set(self.0.get() + 1);
+                Counted(Rc::clone(&self.0))
+            }
+        }
+        let clones = Rc::new(Cell::new(0));
+        let plan = FaultPlan {
+            dup_p: 0.5,
+            fault_until: 1e9,
+            ..FaultPlan::none()
+        };
+        let mut net: Network<Counted> = Network::new(plan, 0.0, 4);
+        for _ in 0..200 {
+            net.send(0, 1, 0.001, Counted(Rc::clone(&clones)));
+        }
+        let st = net.stats();
+        assert!(st.duplicated > 0 && st.duplicated < 200, "{st:?}");
+        assert_eq!(u64::from(clones.get()), st.duplicated);
+        assert_eq!(net.pending() as u64, st.delivered);
     }
 
     #[test]

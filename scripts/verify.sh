@@ -40,13 +40,15 @@ OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz
 echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-geom --test hgrid_parity"
 OMT_THREADS=4 cargo test -q --release --offline -p omt-geom --test hgrid_parity
 
-# The decentralized protocol's acceptance pair: differential parity
-# against the centralized builder plus the fault-injection fuzz
-# campaigns, in release so the 10k-host legs stay fast. OMT_THREADS=4
-# pins the ambient thread count the suites assume (the protocol engine
-# itself is deterministic for any value — that is part of the contract).
-echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-proto"
-OMT_THREADS=4 cargo test -q --release --offline -p omt-proto
+# The decentralized protocol's suites: differential parity against the
+# centralized builder, the fault-injection fuzz campaigns and the
+# cross-version goldens, plus the event engine they run on (checked
+# against its reference model), in release so the 10k-host legs stay
+# fast. OMT_THREADS=4 pins the ambient thread count the suites assume
+# (the protocol engine itself is deterministic for any value — that is
+# part of the contract).
+echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-sim -p omt-proto"
+OMT_THREADS=4 cargo test -q --release --offline -p omt-sim -p omt-proto
 
 # API docs are part of the contract: the library crates deny
 # missing_docs, and this build additionally fails on any rustdoc
