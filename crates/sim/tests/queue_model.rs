@@ -128,12 +128,68 @@ impl<M> HeapQueue<M> {
     }
 }
 
-/// Deliveries as comparable bits: `Delivery`'s `PartialEq` compares times
-/// with `==`, which cannot tell `-0.0` from `+0.0`.
-fn bits(ds: &[Delivery<u32>]) -> Vec<(u64, HostId, u32)> {
-    ds.iter()
-        .map(|d| (d.time.to_bits(), d.dst, d.msg))
-        .collect()
+/// What one pop returned: the batch key and the deliveries, with times as
+/// bits, since `f64`'s `==` cannot tell `-0.0` from `+0.0`.
+type Popped = (Option<(u64, HostId)>, Vec<(u64, HostId, u32)>);
+
+/// The queue under test and the model, fed identical calls. Each
+/// delivery's payload is its scheduling index.
+struct Pair {
+    fast: EventQueue<u32>,
+    model: HeapQueue<u32>,
+    id: u32,
+}
+
+impl Pair {
+    fn new() -> Self {
+        Self {
+            fast: EventQueue::new(),
+            model: HeapQueue::new(),
+            id: 0,
+        }
+    }
+
+    fn now(&self) -> f64 {
+        self.model.now()
+    }
+
+    fn schedule(&mut self, t: f64, dst: HostId) {
+        self.fast.schedule(t, dst, self.id);
+        self.model.schedule(t, dst, self.id);
+        self.id += 1;
+    }
+
+    /// One `pop_mailbox` (or `pop`) on both sides.
+    fn pop(&mut self, mailbox: bool) -> (Popped, Popped) {
+        fn bits(key: Option<(f64, HostId)>, ds: &[Delivery<u32>]) -> Popped {
+            (
+                key.map(|(t, h)| (t.to_bits(), h)),
+                ds.iter()
+                    .map(|d| (d.time.to_bits(), d.dst, d.msg))
+                    .collect(),
+            )
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (ka, kb) = if mailbox {
+            (
+                self.fast.pop_mailbox(&mut a),
+                self.model.pop_mailbox(&mut b),
+            )
+        } else {
+            a.extend(self.fast.pop());
+            b.extend(self.model.pop());
+            let key = |ds: &[Delivery<u32>]| ds.first().map(|d| (d.time, d.dst));
+            (key(&a), key(&b))
+        };
+        (bits(ka, &a), bits(kb, &b))
+    }
+
+    /// Clock and pending count agree.
+    fn in_step(&self) -> bool {
+        self.fast.now().to_bits() == self.model.now().to_bits()
+            && self.fast.len() == self.model.len()
+            && self.fast.is_empty() == (self.model.len() == 0)
+    }
 }
 
 /// A delivery time derived from the current clock, a class and a raw
@@ -176,71 +232,38 @@ fn script() -> impl Strategy<Value = Vec<Step>> {
 props! {
     #[cases(256)]
     fn radix_queue_matches_the_heap_model(steps in script()) {
-        let mut fast = EventQueue::new();
-        let mut model = HeapQueue::new();
-        let mut id = 0u32;
+        let mut q = Pair::new();
         for &(op, class, dst, r) in &steps {
             // Five hosts, so mailboxes interleave with other hosts'
             // deliveries at the same instant.
             let dst = HostId::from(dst % 5);
             match op % 8 {
-                0..=2 => {
-                    let t = pick_time(model.now(), class, r);
-                    fast.schedule(t, dst, id);
-                    model.schedule(t, dst, id);
-                    id += 1;
-                }
+                0..=2 => q.schedule(pick_time(q.now(), class, r), dst),
                 3 => {
                     // Fan-in: 64–95 deliveries at one instant, spread
                     // over the hosts in a pattern drawn from `r`.
-                    let t = pick_time(model.now(), class, r);
+                    let t = pick_time(q.now(), class, r);
                     for i in 0..64 + (r % 32) as u32 {
-                        let to = (dst + (r >> (i % 48)) as u32 % 3) % 5;
-                        fast.schedule(t, to, id);
-                        model.schedule(t, to, id);
-                        id += 1;
+                        q.schedule(t, (dst + (r >> (i % 48)) as u32 % 3) % 5);
                     }
                 }
-                4 | 5 => {
-                    let (a, b) = (fast.pop(), model.pop());
-                    prop_assert_eq!(
-                        bits(a.as_slice()),
-                        bits(b.as_slice()));
-                }
-                _ => {
-                    let (mut a, mut b) = (Vec::new(), Vec::new());
-                    let (ka, kb) = (fast.pop_mailbox(&mut a), model.pop_mailbox(&mut b));
-                    prop_assert_eq!(
-                        ka.map(|(t, h)| (t.to_bits(), h)),
-                        kb.map(|(t, h)| (t.to_bits(), h)));
-                    prop_assert_eq!(bits(&a), bits(&b));
+                op => {
+                    let (a, b) = q.pop(op >= 6);
+                    prop_assert_eq!(a, b);
                 }
             }
-            prop_assert_eq!(fast.now().to_bits(), model.now().to_bits());
-            prop_assert_eq!(fast.len(), model.len());
-            prop_assert_eq!(fast.is_empty(), model.len() == 0);
+            prop_assert!(q.in_step());
         }
         // Drain what is left, alternating the two pop flavours.
-        let mut flip = false;
-        loop {
-            flip = !flip;
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            let (ka, kb) = if flip {
-                (fast.pop_mailbox(&mut a), model.pop_mailbox(&mut b))
-            } else {
-                let (x, y) = (fast.pop(), model.pop());
-                let (kx, ky) = (x.is_some(), y.is_some());
-                a.extend(x);
-                b.extend(y);
-                (kx.then_some((0.0, 0)), ky.then_some((0.0, 0)))
-            };
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(ka.is_some(), kb.is_some());
-            if ka.is_none() {
+        for mailbox in [true, false].into_iter().cycle() {
+            let (a, b) = q.pop(mailbox);
+            let done = a.0.is_none();
+            prop_assert_eq!(a, b);
+            if done {
                 break;
             }
         }
-        prop_assert!(fast.is_empty());
+        prop_assert!(q.fast.is_empty());
     }
 }
 
@@ -249,28 +272,19 @@ props! {
 /// many times over.
 #[test]
 fn long_monotone_run_matches_the_model() {
-    let mut fast = EventQueue::new();
-    let mut model = HeapQueue::new();
+    let mut q = Pair::new();
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut id = 0u32;
     for _ in 0..20_000 {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         for k in 0..(x % 4) {
-            let t = pick_time(model.now(), (x >> (8 * k)) as u8, x >> 32);
-            let dst = (x >> (20 + k)) as HostId % 7;
-            fast.schedule(t, dst, id);
-            model.schedule(t, dst, id);
-            id += 1;
+            let t = pick_time(q.now(), (x >> (8 * k)) as u8, x >> 32);
+            q.schedule(t, (x >> (20 + k)) as HostId % 7);
         }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        assert_eq!(
-            fast.pop_mailbox(&mut a).map(|(t, h)| (t.to_bits(), h)),
-            model.pop_mailbox(&mut b).map(|(t, h)| (t.to_bits(), h))
-        );
-        assert_eq!(bits(&a), bits(&b));
-        assert_eq!(fast.len(), model.len());
+        let (a, b) = q.pop(true);
+        assert_eq!(a, b);
+        assert!(q.in_step());
     }
 }
 
@@ -279,54 +293,27 @@ fn long_monotone_run_matches_the_model() {
 /// longer than a buffer.
 #[test]
 fn bulk_runs_cross_buffer_boundaries() {
-    let mut fast = EventQueue::new();
-    let mut model = HeapQueue::new();
-    let mut id = 0u32;
-    let mut both = |t: f64, dst: HostId, fast: &mut EventQueue<u32>, model: &mut HeapQueue<u32>| {
-        fast.schedule(t, dst, id);
-        model.schedule(t, dst, id);
-        id += 1;
-    };
+    let mut q = Pair::new();
     for i in 0..6000u32 {
-        let t = 2.0 + f64::from(i * 7919 % 6000) / 3000.0;
-        both(t, i % 7, &mut fast, &mut model);
+        q.schedule(2.0 + f64::from(i * 7919 % 6000) / 3000.0, i % 7);
     }
     for i in 0..3000u32 {
-        both(3.0, i % 3, &mut fast, &mut model);
-        both(
-            f64::from_bits(1e300f64.to_bits() + u64::from(i % 5)),
-            i % 4,
-            &mut fast,
-            &mut model,
-        );
+        q.schedule(3.0, i % 3);
+        q.schedule(f64::from_bits(1e300f64.to_bits() + u64::from(i % 5)), i % 4);
     }
-    let mut step = 0u32;
-    loop {
-        step += 1;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let (ka, kb) = if step.is_multiple_of(2) {
-            (fast.pop_mailbox(&mut a), model.pop_mailbox(&mut b))
-        } else {
-            let (x, y) = (fast.pop(), model.pop());
-            let k = (x.as_ref().map(|d| d.time), y.as_ref().map(|d| d.time));
-            a.extend(x);
-            b.extend(y);
-            (k.0.map(|t| (t, 0)), k.1.map(|t| (t, 0)))
-        };
-        assert_eq!(
-            ka.map(|(t, h)| (t.to_bits(), h)),
-            kb.map(|(t, h)| (t.to_bits(), h))
-        );
-        assert_eq!(bits(&a), bits(&b), "step {step}");
-        if ka.is_none() {
+    for step in 1u32.. {
+        let (a, b) = q.pop(step.is_multiple_of(2));
+        let done = a.0.is_none();
+        assert_eq!(a, b, "step {step}");
+        if done {
             break;
         }
-        if step.is_multiple_of(5) && model.now() < 1e300 {
-            let now = model.now();
-            both(now, step % 6, &mut fast, &mut model);
-            both(now + 0.5, step % 5, &mut fast, &mut model);
+        if step.is_multiple_of(5) && q.now() < 1e300 {
+            let now = q.now();
+            q.schedule(now, step % 6);
+            q.schedule(now + 0.5, step % 5);
         }
-        assert_eq!(fast.len(), model.len());
+        assert!(q.in_step());
     }
-    assert!(fast.is_empty());
+    assert!(q.fast.is_empty());
 }
