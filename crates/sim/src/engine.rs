@@ -37,10 +37,12 @@
 //! # Negative zero
 //!
 //! `-0.0 >= +0.0`, so `schedule` accepts `-0.0` while the clock reads
-//! either zero, and `total_cmp` pops it before every `+0.0`. Key 0 only
-//! ever occurs while the last popped key is 0 (before the clock leaves
-//! zero), so such keys always join the ready run directly, where a
+//! either zero, and `total_cmp` pops it before every `+0.0`. Key 0 can
+//! only be scheduled before the clock leaves zero, while the ready run
+//! holds key 0, so such keys always join the ready run directly, where a
 //! `-0.0` is inserted after the pending `-0.0`s and before the `+0.0`s.
+//!
+//! # Layout
 //!
 //! Keys are 24 bytes (`time`, `seq`, `dst`, payload slot); payloads sit in
 //! a slab with a free list, so redistribution never moves a message. A
