@@ -30,8 +30,8 @@ cargo test -q --offline --workspace
 # OMT_THREADS=4 so the sharded phase-A speculation actually runs on
 # multiple workers (output is identical for every thread count — that is
 # part of what the suite asserts).
-echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz"
-OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz
+echo "==> OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz --test churn_goldens"
+OMT_THREADS=4 cargo test -q --release --offline -p omt-core --test churn_fuzz --test churn_goldens
 
 # The hierarchical capacity index must answer every best-parent search
 # bit-identically to the per-cell scan; the parity suite proves it
