@@ -9,18 +9,17 @@
 //!
 //! The same group also records *sustained* throughput at million scale:
 //! a mixed 2 : 1 stream plus flash-crowd and mass-disconnect bursts over
-//! an overlay prefilled to n = 1M live hosts, on the per-event path and
-//! on `ShardedOverlay::apply_batch` at 1/2/4/8 shards (`--quick` shrinks
-//! the prefill to 20k). Record it into the tracked results with:
+//! an overlay prefilled to n = 1M live hosts (`--quick` shrinks the
+//! prefill to 20k). Record it into the tracked results with:
 //!
 //! ```sh
-//! OMT_BENCH_DIR=results cargo bench -p omt-bench --bench dynamic_churn -- dynamic_churn
+//! OMT_BENCH_DIR=$PWD/results cargo bench -p omt-bench --bench dynamic_churn -- dynamic_churn
 //! ```
 
 use omt_bench::disk_points;
 use omt_bench::harness::{BenchmarkId, Criterion, Throughput};
 use omt_bench::{criterion_group, criterion_main};
-use omt_core::{ChurnEvent, DynamicOverlay, HostId, PolarGridBuilder, ShardedOverlay};
+use omt_core::{DynamicOverlay, HostId, PolarGridBuilder};
 use omt_geom::Point2;
 use omt_rng::rngs::SmallRng;
 use omt_rng::{RngExt, SeedableRng};
@@ -113,11 +112,18 @@ fn run_naive(base: &naive::NaiveOverlay, live: &[u64], plan: &[Event]) -> usize 
     live.len()
 }
 
+/// One membership event of a fully-resolved sustained-bench stream.
+#[derive(Clone, Copy)]
+enum ChurnEvent {
+    Join(Point2),
+    Leave(HostId),
+}
+
 /// A concrete, fully-resolved event stream for the sustained benches.
 /// Leave victims are picked against a simulated replay of the prefilled
 /// overlay, so the resulting `ChurnEvent` list (with real `HostId`s)
-/// replays verbatim on the per-event path *and* on `apply_batch` — host
-/// ids are deterministic either way (monotone in join order).
+/// replays verbatim on every clone of it — host ids are deterministic
+/// (monotone in join order).
 fn mixed_plan(base: &DynamicOverlay, live: &[HostId], events: usize, seed: u64) -> Vec<ChurnEvent> {
     let mut sim = base.clone();
     let mut live = live.to_vec();
@@ -178,15 +184,6 @@ fn run_resolved(base: &DynamicOverlay, plan: &[ChurnEvent]) -> usize {
     overlay.len()
 }
 
-/// Batched replay of the same plan through the sharded engine.
-fn run_batched(base: &DynamicOverlay, shards: u32, plan: &[ChurnEvent], batch: usize) -> usize {
-    let mut overlay = ShardedOverlay::from_overlay(base.clone(), shards).expect("power of two");
-    for chunk in plan.chunks(batch) {
-        overlay.apply_batch(chunk).expect("victims are live");
-    }
-    overlay.len()
-}
-
 fn bench_churn(c: &mut Criterion) {
     // Both bench sections must share this one group instance: two groups
     // with the same name would each write (and so overwrite) the same
@@ -215,19 +212,14 @@ fn bench_churn(c: &mut Criterion) {
 
     // Sustained throughput at million scale: events/s over a live overlay
     // of n = 1M hosts (`--quick`: 20k), mixed 2 : 1 join : leave, plus the
-    // two stress scenarios (flash crowd, mass disconnect), on the
-    // per-event path and on the sharded batch engine at 1/2/4/8 shards.
-    // Every iteration clones the prefilled base on both paths, so the
-    // comparison stays symmetric; peak RSS is recorded per row by the
-    // harness. The batch engine's output is bit-identical to the
-    // per-event path (proven in omt-core's churn_fuzz suite) — only
-    // throughput is at stake here.
+    // two stress scenarios (flash crowd, mass disconnect). Every
+    // iteration replays on a clone of the prefilled base; peak RSS is
+    // recorded per row by the harness.
     let (n, events) = if quick {
         (20_000usize, 4_000usize)
     } else {
         (1_000_000, 100_000)
     };
-    let batch = 512usize;
     let mut base = DynamicOverlay::new(Point2::ORIGIN, 6).unwrap();
     let live: Vec<HostId> = disk_points(n, 13).iter().map(|&p| base.join(p)).collect();
     group.sample_size(5);
@@ -237,36 +229,16 @@ fn bench_churn(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("sustained", n), &sustained, |b, plan| {
         b.iter(|| run_resolved(&base, plan));
     });
-    for shards in [1u32, 2, 4, 8] {
-        let id = BenchmarkId::new(format!("sustained-sharded{shards}"), n);
-        group.bench_with_input(id, &sustained, |b, plan| {
-            b.iter(|| run_batched(&base, shards, plan, batch));
-        });
-    }
 
     let flash = flash_plan(events, 19 + n as u64);
     group.bench_with_input(BenchmarkId::new("flash_crowd", n), &flash, |b, plan| {
         b.iter(|| run_resolved(&base, plan));
     });
-    group.bench_with_input(
-        BenchmarkId::new("flash_crowd-sharded4", n),
-        &flash,
-        |b, plan| {
-            b.iter(|| run_batched(&base, 4, plan, batch));
-        },
-    );
 
     let mass = mass_plan(&live, events, 23 + n as u64);
     group.bench_with_input(BenchmarkId::new("mass_disconnect", n), &mass, |b, plan| {
         b.iter(|| run_resolved(&base, plan));
     });
-    group.bench_with_input(
-        BenchmarkId::new("mass_disconnect-sharded4", n),
-        &mass,
-        |b, plan| {
-            b.iter(|| run_batched(&base, 4, plan, batch));
-        },
-    );
     group.finish();
 }
 

@@ -48,7 +48,7 @@
 
 use std::collections::HashMap;
 
-use omt_geom::{HGrid, Point2, PolarPoint};
+use omt_geom::{Point2, PolarPoint};
 use omt_tree::{validate_parent_forest, MulticastTree, NodeId, ParentRef, TreeBuilder};
 
 use crate::error::BuildError;
@@ -62,74 +62,22 @@ use crate::polar_grid::PolarGridBuilder;
 pub struct HostId(u64);
 
 #[derive(Clone, Debug)]
-pub(crate) struct Host {
-    pub(crate) position: Point2,
+struct Host {
+    position: Point2,
     /// Parent slot: `None` = the source (or detached, transiently inside
     /// `leave` while an orphan awaits re-homing). Slots share the arena's
     /// compact [`NodeId`] width, so the overlay's per-host footprint tracks
     /// the static builders'.
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
+    parent: Option<NodeId>,
+    children: Vec<NodeId>,
     /// Cached source-to-host delay; refreshed along the subtree whenever
     /// the host is (re-)attached.
-    pub(crate) delay: f64,
+    delay: f64,
     /// Flat index of the host's current grid cell.
-    pub(crate) cell: u32,
-    pub(crate) alive: bool,
+    cell: u32,
+    alive: bool,
     /// Generation counter for id reuse protection.
-    pub(crate) id: HostId,
-}
-
-/// Cell-granular write log feeding the sharded batch engine
-/// (`crate::sharded`). When enabled, every mutation of *search-relevant*
-/// state — an open-list change, or a cached-delay refresh of any host —
-/// records the affected cell, and a full rebuild raises a flag. The merge
-/// phase drains the log after each replayed event to decide which
-/// speculative shard proposals are still provably valid. Disabled (the
-/// default) it costs one predictable branch per mutation.
-#[derive(Clone, Debug, Default)]
-struct WriteLog {
-    enabled: bool,
-    /// Cells written since the last drain; may contain duplicates.
-    cells: Vec<u32>,
-    /// Whether a full rebuild ran since the last drain.
-    rebuilt: bool,
-}
-
-/// Counters of parent-search work, kept in relaxed atomics because
-/// searches are logically read-only (`&self`) and the overlay is shared
-/// across threads during sharded speculation. `cells_scanned` counts
-/// open-list consultations (one per cell whose open list was walked);
-/// `cost_probes` counts attach-cost evaluations. Both run in scan mode
-/// and index mode, so the two paths' work is directly comparable.
-#[derive(Debug, Default)]
-struct SearchProbes {
-    cells_scanned: std::sync::atomic::AtomicU64,
-    cost_probes: std::sync::atomic::AtomicU64,
-}
-
-impl Clone for SearchProbes {
-    fn clone(&self) -> Self {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        Self {
-            cells_scanned: AtomicU64::new(self.cells_scanned.load(Ordering::Relaxed)),
-            cost_probes: AtomicU64::new(self.cost_probes.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl SearchProbes {
-    #[inline]
-    fn bump_cells(&self) {
-        self.cells_scanned
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn bump_costs(&self, by: u64) {
-        self.cost_probes
-            .fetch_add(by, std::sync::atomic::Ordering::Relaxed);
-    }
+    id: HostId,
 }
 
 /// A multicast tree that supports joins and leaves.
@@ -157,7 +105,7 @@ impl SearchProbes {
 pub struct DynamicOverlay {
     source: Point2,
     max_out_degree: u32,
-    pub(crate) hosts: Vec<Host>,
+    hosts: Vec<Host>,
     /// Raw id -> slot of each live host.
     slot_by_id: HashMap<u64, NodeId>,
     /// Recycled slots of departed hosts.
@@ -165,23 +113,14 @@ pub struct DynamicOverlay {
     /// Slots of live hosts, bucketed by their current grid cell.
     cell_members: Vec<Vec<NodeId>>,
     /// Slots of *open* live hosts (out-degree below budget), per cell.
-    pub(crate) cell_open: Vec<Vec<NodeId>>,
+    cell_open: Vec<Vec<NodeId>>,
     /// The grid the members are bucketed against (rebuilt on churn).
-    pub(crate) grid: Option<PolarGrid2>,
+    grid: Option<PolarGrid2>,
     live: usize,
     /// Number of live hosts attached directly to the source.
     source_children: u32,
     churn_since_rebuild: usize,
     next_id: u64,
-    /// Write tracking for the sharded batch merge; off by default.
-    write_log: WriteLog,
-    /// Hierarchical capacity-summary index mirroring `cell_open` (`None`
-    /// = plain scan mode). Enabled by `OMT_HGRID=1` or
-    /// [`set_hgrid`](Self::set_hgrid); parent searches through it return
-    /// bit-identical answers to the scans they replace.
-    hgrid: Option<HGrid>,
-    /// Parent-search work counters.
-    probes: SearchProbes,
 }
 
 impl DynamicOverlay {
@@ -201,7 +140,7 @@ impl DynamicOverlay {
         if !source.is_finite() {
             return Err(BuildError::NonFiniteSource);
         }
-        let mut overlay = Self {
+        Ok(Self {
             source,
             max_out_degree,
             hosts: Vec::new(),
@@ -214,149 +153,7 @@ impl DynamicOverlay {
             source_children: 0,
             churn_since_rebuild: 0,
             next_id: 0,
-            write_log: WriteLog::default(),
-            hgrid: None,
-            probes: SearchProbes::default(),
-        };
-        if omt_geom::hgrid::env_enabled() {
-            overlay.set_hgrid(true);
-        }
-        Ok(overlay)
-    }
-
-    /// Turns the hierarchical capacity-summary index on (building it from
-    /// the current membership) or off. Every parent search is answered
-    /// identically either way — the index only changes how much work the
-    /// answer costs (see [`search_probes`](Self::search_probes)).
-    pub fn set_hgrid(&mut self, on: bool) {
-        self.hgrid = on.then(|| self.build_hgrid());
-    }
-
-    /// Whether the hierarchical capacity index is active.
-    pub fn hgrid_enabled(&self) -> bool {
-        self.hgrid.is_some()
-    }
-
-    /// The frozen index for the sharded engine's speculation phase.
-    pub(crate) fn hgrid_ref(&self) -> Option<&HGrid> {
-        self.hgrid.as_ref()
-    }
-
-    /// The parent-search work counters accumulated since the last
-    /// [`reset_search_probes`](Self::reset_search_probes), as
-    /// `(cells_scanned, cost_probes)`: open-list consultations and
-    /// attach-cost evaluations.
-    pub fn search_probes(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
-        (
-            self.probes.cells_scanned.load(Ordering::Relaxed),
-            self.probes.cost_probes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Zeroes the parent-search work counters.
-    pub fn reset_search_probes(&self) {
-        use std::sync::atomic::Ordering;
-        self.probes.cells_scanned.store(0, Ordering::Relaxed);
-        self.probes.cost_probes.store(0, Ordering::Relaxed);
-    }
-
-    /// Read-only parent search: the host a [`join`](Self::join) at
-    /// `position` would attach to right now (`None` = the source).
-    pub fn peek_parent(&self, position: &Point2) -> Option<HostId> {
-        self.find_parent_for(position)
-            .map(|s| self.hosts[s as usize].id)
-    }
-
-    /// Builds the capacity index from scratch against the current grid
-    /// and open lists.
-    fn build_hgrid(&self) -> HGrid {
-        let (rings, ring_inner) = match &self.grid {
-            None => (0u32, vec![0.0]),
-            Some(grid) => {
-                let k = grid.rings();
-                let mut inner = Vec::with_capacity(k as usize + 1);
-                inner.push(0.0);
-                for ring in 1..=k {
-                    inner.push(grid.circle_radius(ring - 1));
-                }
-                (k, inner)
-            }
-        };
-        let classes = self.max_out_degree as usize;
-        let mut hg = HGrid::new(rings, classes, &ring_inner);
-        let mut counts = vec![0u32; classes];
-        for cell in 0..self.cell_open.len() {
-            counts.fill(0);
-            let mut min_delay = f64::INFINITY;
-            for &s in &self.cell_open[cell] {
-                let h = &self.hosts[s as usize];
-                counts[h.children.len()] += 1;
-                min_delay = min_delay.min(h.delay);
-            }
-            // A fresh index is already all-empty; only occupied cells
-            // need declaring.
-            if counts.iter().any(|&c| c > 0) {
-                hg.set_cell(cell, &counts, min_delay);
-            }
-        }
-        hg
-    }
-
-    /// Re-declares one cell's census to the capacity index (call after
-    /// any mutation of the cell's open list or of an open host's class or
-    /// delay). No-op when the index is off.
-    fn hg_sync_cell(&mut self, cell: usize) {
-        if self.hgrid.is_none() {
-            return;
-        }
-        let classes = self.max_out_degree as usize;
-        let mut counts = vec![0u32; classes];
-        let mut min_delay = f64::INFINITY;
-        for &s in &self.cell_open[cell] {
-            let h = &self.hosts[s as usize];
-            counts[h.children.len()] += 1;
-            min_delay = min_delay.min(h.delay);
-        }
-        self.hgrid
-            .as_mut()
-            .expect("checked above")
-            .set_cell(cell, &counts, min_delay);
-    }
-
-    /// Rebuilds the capacity index (if on) after a grid change.
-    fn refresh_hgrid(&mut self) {
-        if self.hgrid.is_some() {
-            self.hgrid = Some(self.build_hgrid());
-        }
-    }
-
-    /// Turns batch write tracking on or off, clearing any logged state.
-    pub(crate) fn set_write_tracking(&mut self, on: bool) {
-        self.write_log.enabled = on;
-        self.write_log.cells.clear();
-        self.write_log.rebuilt = false;
-    }
-
-    /// Appends the cells written since the last drain to `into` and
-    /// returns whether a rebuild ran since then (resetting the flag).
-    pub(crate) fn drain_writes(&mut self, into: &mut Vec<u32>) -> bool {
-        into.append(&mut self.write_log.cells);
-        std::mem::take(&mut self.write_log.rebuilt)
-    }
-
-    /// Records that `cell`'s search-relevant state changed. The write
-    /// points are exactly the mutations the capacity index must see, so
-    /// the index sync piggybacks here (attach/detach additionally sync
-    /// class shifts that leave the open list untouched).
-    #[inline]
-    fn note_cell_write(&mut self, cell: u32) {
-        if self.write_log.enabled {
-            self.write_log.cells.push(cell);
-        }
-        if self.hgrid.is_some() {
-            self.hg_sync_cell(cell as usize);
-        }
+        })
     }
 
     /// Number of live hosts.
@@ -384,7 +181,7 @@ impl DynamicOverlay {
         self.slot_of(id).map(|s| self.hosts[s].position)
     }
 
-    pub(crate) fn slot_of(&self, id: HostId) -> Option<usize> {
+    fn slot_of(&self, id: HostId) -> Option<usize> {
         self.slot_by_id.get(&id.0).map(|&s| s as usize)
     }
 
@@ -398,7 +195,7 @@ impl DynamicOverlay {
     }
 
     /// The grid cell of a position under the current grid (flat index).
-    pub(crate) fn cell_of(&self, p: &Point2) -> usize {
+    fn cell_of(&self, p: &Point2) -> usize {
         match &self.grid {
             None => 0,
             Some(grid) => {
@@ -420,7 +217,6 @@ impl DynamicOverlay {
     fn open_remove(&mut self, slot: u32) {
         let cell = self.hosts[slot as usize].cell;
         self.cell_open[cell as usize].retain(|&s| s != slot);
-        self.note_cell_write(cell);
     }
 
     /// Adds `slot` back to its cell's open list.
@@ -428,7 +224,6 @@ impl DynamicOverlay {
         let cell = self.hosts[slot as usize].cell;
         debug_assert!(!self.cell_open[cell as usize].contains(&slot));
         self.cell_open[cell as usize].push(slot);
-        self.note_cell_write(cell);
     }
 
     /// Recomputes the cached delay of `root` from its parent and propagates
@@ -442,8 +237,6 @@ impl DynamicOverlay {
                 self.hosts[p].delay + self.hosts[r].position.distance(&self.hosts[p].position)
             }
         };
-        let root_cell = self.hosts[r].cell;
-        self.note_cell_write(root_cell);
         let mut refreshed = 1u64;
         let mut stack = vec![root];
         while let Some(u) = stack.pop() {
@@ -453,8 +246,6 @@ impl DynamicOverlay {
                 let d =
                     self.hosts[u].delay + self.hosts[u].position.distance(&self.hosts[c].position);
                 self.hosts[c].delay = d;
-                let c_cell = self.hosts[c].cell;
-                self.note_cell_write(c_cell);
                 refreshed += 1;
                 stack.push(c as u32);
             }
@@ -486,12 +277,6 @@ impl DynamicOverlay {
                 self.hosts[pu].children.push(child);
                 if self.hosts[pu].children.len() as u32 == self.max_out_degree {
                     self.open_remove(p);
-                } else if self.hgrid.is_some() {
-                    // Still open, but its degree class changed; the write
-                    // log does not need to hear about this (the open list
-                    // is untouched), the index does.
-                    let cell = self.hosts[pu].cell;
-                    self.hg_sync_cell(cell as usize);
                 }
             }
         }
@@ -509,9 +294,6 @@ impl DynamicOverlay {
                 self.hosts[pu].children.retain(|&c| c != slot);
                 if was_full {
                     self.open_push(p);
-                } else if self.hgrid.is_some() {
-                    let cell = self.hosts[pu].cell;
-                    self.hg_sync_cell(cell as usize);
                 }
             }
         }
@@ -526,19 +308,12 @@ impl DynamicOverlay {
     pub fn join(&mut self, position: Point2) -> HostId {
         assert!(position.is_finite(), "host position must be finite");
         let _join_span = omt_obs::obs_span!("dynamic/join");
+        omt_obs::obs_count!("dynamic/joins");
         // Choose a parent: best open host in the cell, walking up the
         // ancestor-cell chain, else the source if open, else the best open
         // host globally (exists whenever the tree is nonempty and the
         // budget is ≥ 2: leaves are open).
         let parent = self.find_parent_for(&position);
-        self.insert_host(position, parent)
-    }
-
-    /// Adds a host under an already-chosen parent (`None` = the source).
-    /// The shared tail of [`join`](Self::join) and the sharded fast path:
-    /// the caller owns parent selection, this owns all bookkeeping.
-    pub(crate) fn insert_host(&mut self, position: Point2, parent: Option<u32>) -> HostId {
-        omt_obs::obs_count!("dynamic/joins");
         let id = HostId(self.next_id);
         self.next_id += 1;
         let cell = self.cell_of(&position) as u32;
@@ -564,7 +339,6 @@ impl DynamicOverlay {
         self.slot_by_id.insert(id.0, slot);
         self.cell_members[cell as usize].push(slot);
         self.cell_open[cell as usize].push(slot);
-        self.note_cell_write(cell);
         self.attach(slot, parent);
         self.live += 1;
         self.churn_since_rebuild += 1;
@@ -599,31 +373,9 @@ impl DynamicOverlay {
         let mut cell = self.cell_of(position);
         let mut hops = 0u64;
         loop {
-            // Known-empty cells are skipped without touching their open
-            // list (or the cost of walking it): the index's direct count
-            // is exact, so this can never change the answer — a zero
-            // count means there is nothing to scan, banned or not.
-            let known_empty = self
-                .hgrid
-                .as_ref()
-                .is_some_and(|hg| hg.cell_total(cell) == 0);
-            let best = if known_empty {
-                None
-            } else {
-                self.probes.bump_cells();
-                self.cell_open[cell]
-                    .iter()
-                    .copied()
-                    .filter(|s| !banned.is_some_and(|set| set.contains(s)))
-                    .min_by(|&a, &b| {
-                        self.probes.bump_costs(2);
-                        self.attach_cost(a, position)
-                            .total_cmp(&self.attach_cost(b, position))
-                    })
-            };
-            if best.is_some() {
+            if let Some((_, s)) = self.scan_cell_for(cell, position, banned) {
                 omt_obs::obs_observe!("dynamic/chain_len", hops);
-                return best;
+                return Some(s);
             }
             if cell == 0 {
                 omt_obs::obs_observe!("dynamic/chain_len", hops);
@@ -644,29 +396,12 @@ impl DynamicOverlay {
     /// skipping hosts in `banned` (the flat set of a subtree being
     /// re-homed) when given. Deterministic: first minimum wins — i.e. the
     /// winner is the lexicographic minimum of `(cost, cell, list
-    /// position)`, which is exactly the tie rule the capacity-index
-    /// search preserves, so both paths return the same host bit for bit.
+    /// position)`.
     fn best_open_excluding(
         &self,
         position: &Point2,
         banned: Option<&std::collections::HashSet<u32>>,
     ) -> Option<u32> {
-        if let Some(hg) = &self.hgrid {
-            // Bound-pruned best-first search. The per-cell closure
-            // reproduces the scan's in-cell rule (earliest strict
-            // minimum); the index handles the cross-cell `(cost, cell)`
-            // tie rule and prunes only subtrees whose guarded lower
-            // bound *strictly* exceeds the incumbent.
-            let q = *position - self.source;
-            return hg
-                .best_open_parent(
-                    &q,
-                    self.max_out_degree as usize,
-                    |cell| self.scan_cell_for(cell, position, banned),
-                    None,
-                )
-                .map(|(_, _, s)| s);
-        }
         let mut best: Option<(f64, u32)> = None;
         for cell in 0..self.cell_open.len() {
             if let Some((cost, s)) = self.scan_cell_for(cell, position, banned) {
@@ -679,25 +414,29 @@ impl DynamicOverlay {
     }
 
     /// Scans one cell's open list for the cheapest eligible host
-    /// (earliest strict minimum), counting the work.
+    /// (earliest strict minimum), counting the work: one
+    /// `dynamic/cells_scanned` per call and one `dynamic/cost_probes` per
+    /// attach-cost evaluation.
     fn scan_cell_for(
         &self,
         cell: usize,
         position: &Point2,
         banned: Option<&std::collections::HashSet<u32>>,
     ) -> Option<(f64, u32)> {
-        self.probes.bump_cells();
+        omt_obs::obs_count!("dynamic/cells_scanned");
         let mut best: Option<(f64, u32)> = None;
+        let mut probes = 0u64;
         for &s in &self.cell_open[cell] {
             if banned.is_some_and(|set| set.contains(&s)) {
                 continue;
             }
-            self.probes.bump_costs(1);
+            probes += 1;
             let cost = self.attach_cost(s, position);
             if best.is_none_or(|(bc, _)| cost < bc) {
                 best = Some((cost, s));
             }
         }
+        omt_obs::obs_count!("dynamic/cost_probes", probes);
         best
     }
 
@@ -844,9 +583,6 @@ impl DynamicOverlay {
     pub fn rebuild(&mut self) {
         let _rebuild_span = omt_obs::obs_span!("dynamic/rebuild");
         omt_obs::obs_count!("dynamic/rebuilds");
-        if self.write_log.enabled {
-            self.write_log.rebuilt = true;
-        }
         self.churn_since_rebuild = 0;
         let live_slots = self.live_slots_in_join_order();
         let positions: Vec<Point2> = live_slots
@@ -861,7 +597,6 @@ impl DynamicOverlay {
             self.cell_open = vec![Vec::new()];
             self.grid = None;
             self.source_children = 0;
-            self.refresh_hgrid();
             return;
         }
         let (tree, report) = PolarGridBuilder::new()
@@ -922,7 +657,6 @@ impl DynamicOverlay {
         self.grid = Some(grid);
         self.cell_members = cell_members;
         self.cell_open = cell_open;
-        self.refresh_hgrid();
     }
 
     /// Materializes the current membership as an immutable
@@ -1134,17 +868,11 @@ impl DynamicOverlay {
             open_total, open_expected,
             "open index does not cover all open hosts"
         );
-        // The incrementally-maintained capacity index must agree with a
-        // from-scratch rebuild on every summary — counts and delay
-        // minima, bit for bit.
-        if let Some(hg) = &self.hgrid {
-            hg.assert_same(&self.build_hgrid());
-        }
     }
 }
 
 /// Inverse of the flat cell index: `(ring, seg)`.
-pub(crate) fn unflatten(idx: usize) -> (u32, u64) {
+fn unflatten(idx: usize) -> (u32, u64) {
     let v = idx as u64 + 1;
     let ring = 63 - v.leading_zeros();
     (ring, v - (1u64 << ring))

@@ -132,4 +132,10 @@ fn churn_metrics_count_joins_and_leaves() {
     assert_eq!(reg.span("dynamic/leave").map(|s| s.count), Some(20));
     let chains = reg.hist("dynamic/chain_len").expect("chain_len missing");
     assert!(chains.count >= 50, "every join walks the parent chain");
+    // Parent-search work: every join scans at least its own cell, and
+    // the searches cost candidates.
+    let cells = reg.counter("dynamic/cells_scanned");
+    let probes = reg.counter("dynamic/cost_probes");
+    assert!(cells >= 50, "cells_scanned {cells} below the join count");
+    assert!(probes > 0, "no attach cost was evaluated");
 }

@@ -18,9 +18,8 @@
 //! * [`hull`] / [`enclosing`] — convex hulls, rotating-calipers diameters,
 //!   and smallest enclosing circles (Welzl) for the minimum-diameter tree
 //!   variant.
-//! * [`HGrid`] — hierarchical capacity-summary index over polar cells
-//!   with lower-bound-pruned best-parent queries; [`deepest_interior`] is
-//!   the companion convex-region representative placement search.
+//! * [`deepest_interior`] — the pole of inaccessibility of a convex
+//!   polygon, the convex-region representative placement search.
 //!
 //! # Examples
 //!
@@ -44,7 +43,6 @@
 #![deny(missing_docs)]
 
 pub mod enclosing;
-pub mod hgrid;
 pub mod hull;
 pub mod point;
 pub mod polar;
@@ -54,12 +52,12 @@ pub mod segment;
 pub mod soa;
 
 pub use enclosing::{bounding_sphere, smallest_enclosing_circle, Circle, Sphere};
-pub use hgrid::{deepest_interior, HGrid, PruneRecord};
 pub use hull::{convex_hull, diameter};
 pub use point::{Point, Point2, Point3};
 pub use polar::{normalize_angle, Arc, PolarPoint, SphericalPoint};
 pub use region::{
-    Annulus, Ball, BoxRegion, ConvexPolygon, Disk, DynRegion2, DynRegion3, Region, Translated,
+    deepest_interior, Annulus, Ball, BoxRegion, ConvexPolygon, Disk, DynRegion2, DynRegion3,
+    Region, Translated,
 };
 pub use segment::{RingSegment, ShellCell};
 pub use soa::{PointStore2, PointStore3};

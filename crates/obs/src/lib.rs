@@ -49,7 +49,7 @@ pub const HIST_BUCKETS: usize = 65;
 ///
 /// Metric names are `&'static str` so the hot-path entry points never
 /// allocate or hash strings. Call sites that need a small number of
-/// runtime-derived names — per-shard churn counters, per-backend labels —
+/// runtime-derived names — per-worker counters, per-backend labels —
 /// intern them **once at construction time** and store the result; the
 /// first interning of each distinct label leaks its allocation
 /// (deliberately: the set is expected to stay tiny and live for the
@@ -61,8 +61,8 @@ pub const HIST_BUCKETS: usize = 65;
 /// # Examples
 ///
 /// ```
-/// let a = omt_obs::intern("churn/shard0/fast");
-/// let b = omt_obs::intern(&format!("churn/shard{}/fast", 0));
+/// let a = omt_obs::intern("par/worker0/items");
+/// let b = omt_obs::intern(&format!("par/worker{}/items", 0));
 /// assert!(std::ptr::eq(a, b));
 /// ```
 ///

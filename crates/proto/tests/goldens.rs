@@ -62,7 +62,6 @@ fn heal_faults() -> FaultPlan {
 impl Campaign {
     fn config(&self) -> ProtoConfig {
         let mut cfg = ProtoConfig::for_n(self.n, self.degree);
-        cfg.hgrid = false;
         if self.faulty {
             cfg.faults = heal_faults();
             cfg.quiet_after = cfg.faults.fault_until + 80.0;
