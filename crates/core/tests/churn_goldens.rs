@@ -22,10 +22,12 @@
 //!
 //! The cases are seeds × degrees {2, 4, 6} × traces of 600 and 20 000
 //! events, a wedge trace that repeatedly removes interior hosts while the
-//! source is at its full out-degree, and a mass-leave trace that empties
-//! nine tenths of a 2 000-host overlay. A mismatch prints the computed
-//! entry as a Rust literal. The 20 000-event traces take a snapshot per
-//! leave and run only in release builds. Re-recording is only legitimate for a change
+//! source is at its full out-degree, a mass-leave trace that empties
+//! nine tenths of a 2 000-host overlay, and a deep-leave trace that
+//! removes source children and grandchildren of a full-source 20 000-host
+//! overlay at degrees 2 and 6. A mismatch prints the computed entry as a
+//! Rust literal. The 20 000-event traces and the 20 000-host overlays take
+//! a snapshot per leave and run only in release builds. Re-recording is only legitimate for a change
 //! that is meant to alter churn behaviour, and CHANGES.md must say so.
 
 use omt_core::{DynamicOverlay, HostId, PolarGridBuilder};
@@ -324,6 +326,55 @@ fn mass_leave_trace() {
     }
 }
 
+/// Removes source children and grandchildren of a 20 000-host overlay
+/// whose source is full. A source child's orphans are re-homed against
+/// subtrees of thousands of hosts with no room at the source, which runs
+/// subtree exclusion and the global open-host fallback at scale; the
+/// promoted orphan takes the vacated source slot, so the source stays
+/// full for the next leave.
+fn deep_leave_trace(degree: u32, leaves: usize) {
+    let mut rng = SmallRng::seed_from_u64(0xDEE9_0000 + u64::from(degree));
+    let mut r = Replay::new(degree);
+    for _ in 0..20_000 {
+        r.join(disk_point(&mut rng));
+    }
+    for k in 0..leaves {
+        let snap = r.overlay.snapshot().unwrap();
+        assert_eq!(snap.source_out_degree(), degree, "source not full");
+        let tops: Vec<usize> = snap
+            .source_children()
+            .iter()
+            .map(|&c| c as usize)
+            .filter(|&c| !snap.children(c).is_empty())
+            .collect();
+        let top = tops[rng.random_range(0..tops.len())];
+        let inner: Vec<usize> = snap
+            .children(top)
+            .iter()
+            .map(|&c| c as usize)
+            .filter(|&c| !snap.children(c).is_empty())
+            .collect();
+        let victim = if k % 2 == 0 || inner.is_empty() {
+            top
+        } else {
+            inner[rng.random_range(0..inner.len())]
+        };
+        r.leave(victim);
+    }
+    check(&format!("deep-leave deg={degree}"), r.outcome());
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "20k-host overlays; run in release (scripts/verify.sh, CI dynamic-churn job)"
+)]
+fn deep_leaves_with_full_source() {
+    for degree in [2, 6] {
+        deep_leave_trace(degree, 300);
+    }
+}
+
 /// `(label, tree fingerprint, radius bits, source out-degree, orphans,
 /// rebuilds)`.
 const GOLDENS: &[(&str, u64, u64, u32, u64, u64)] = &[
@@ -446,5 +497,21 @@ const GOLDENS: &[(&str, u64, u64, u32, u64, u64)] = &[
         6,
         1831,
         15,
+    ),
+    (
+        "deep-leave deg=2",
+        0xba01624edf3de10e,
+        0x400fbad7ca6b42de,
+        2,
+        568,
+        12,
+    ),
+    (
+        "deep-leave deg=6",
+        0x53656d9d67be2515,
+        0x3ffc5b24017aeef0,
+        6,
+        1245,
+        12,
     ),
 ];
