@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use omt_core::PolarGridBuilder;
+use omt_core::{DynamicOverlay, PolarGridBuilder};
 use omt_geom::{Disk, Point2, Region};
 use omt_rng::rngs::SmallRng;
 use omt_rng::SeedableRng;
@@ -115,7 +115,7 @@ fn churn_metrics_count_joins_and_leaves() {
         return;
     }
     let mut rng = SmallRng::seed_from_u64(3);
-    let mut overlay = omt_core::DynamicOverlay::new(Point2::ORIGIN, 4).unwrap();
+    let mut overlay = DynamicOverlay::new(Point2::ORIGIN, 4).unwrap();
     let _ = omt_obs::take_local();
     let ids: Vec<_> = Disk::unit()
         .sample_n(&mut rng, 50)
@@ -138,4 +138,67 @@ fn churn_metrics_count_joins_and_leaves() {
     let probes = reg.counter("dynamic/cost_probes");
     assert!(cells >= 50, "cells_scanned {cells} below the join count");
     assert!(probes > 0, "no attach cost was evaluated");
+}
+
+/// The churn phase spans: the rebuild's sub-spans tile it, and a leave
+/// records the orphan re-homing span exactly when it orphans hosts.
+#[test]
+fn churn_phase_spans_tile_the_rebuild() {
+    if !omt_obs::enable_memory() {
+        eprintln!("skipping: recording mode already fixed externally");
+        return;
+    }
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut overlay = DynamicOverlay::new(Point2::ORIGIN, 2).unwrap();
+    let mut live: Vec<_> = Disk::unit()
+        .sample_n(&mut rng, 20_000)
+        .into_iter()
+        .map(|p| overlay.join(p))
+        .collect();
+    let _ = omt_obs::take_local();
+    overlay.rebuild();
+    let reg = omt_obs::take_local();
+    let rebuild = reg.span("dynamic/rebuild").expect("rebuild span missing");
+    assert_eq!(rebuild.count, 1);
+    let mut phase_sum = 0u64;
+    for phase in [
+        "dynamic/rebuild/order",
+        "dynamic/rebuild/build",
+        "dynamic/rebuild/index",
+    ] {
+        let s = reg.span(phase).unwrap_or_else(|| panic!("{phase} missing"));
+        assert_eq!(s.count, 1, "{phase}");
+        phase_sum += s.total_ns;
+    }
+    assert!(
+        phase_sum <= rebuild.total_ns,
+        "nested phases ({phase_sum} ns) exceed the rebuild span ({} ns)",
+        rebuild.total_ns
+    );
+    assert!(
+        phase_sum * 10 >= rebuild.total_ns * 9,
+        "phases cover only {phase_sum} of {} ns (< 90%)",
+        rebuild.total_ns
+    );
+
+    // Snapshot host i is live[i] (join order). An interior leave
+    // re-homes its orphans; a leaf leave has none to re-home.
+    let snap = overlay.snapshot().unwrap();
+    let interior = (0..snap.len())
+        .find(|&i| !snap.children(i).is_empty())
+        .expect("an interior host");
+    overlay.leave(live.remove(interior)).unwrap();
+    let reg = omt_obs::take_local();
+    assert_eq!(reg.span("dynamic/rehome").map(|s| s.count), Some(1));
+    let snap = overlay.snapshot().unwrap();
+    let leaf = (0..snap.len())
+        .find(|&i| snap.children(i).is_empty())
+        .expect("a leaf");
+    overlay.leave(live.remove(leaf)).unwrap();
+    let reg = omt_obs::take_local();
+    assert_eq!(reg.span("dynamic/leave").map(|s| s.count), Some(1));
+    assert!(
+        reg.span("dynamic/rehome").is_none(),
+        "a leaf leave re-homed"
+    );
 }
